@@ -10,9 +10,11 @@ forked after the wrappers are installed; there the wrappers only call
 through, and what the workers did is read from what ``MPRun`` returns.
 
 Layers the workload itself does not exercise are measured by a short
-probe at the workload's payload size, so every traced run reports every
-metric: the ``mp-*`` workloads run a burst of service sessions, and the
-service workload runs its batched-reduce plan on an ``MPCluster``.
+probe at the workload's payload size: the result format asks every
+traced run for every per-layer metric ``BENCHMARK.json`` declares, and a
+layer the workload never calls would otherwise read a constant.  The
+``mp-*`` workloads run a burst of service sessions, and the service
+workload runs its batched-reduce plan on an ``MPCluster``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+import inputs
 import workloads
+from repro import CollectiveConfig
 from repro.bench.stream import run_stream
 from repro.compression.fzlight import FZLight
 from repro.core import pipeline
@@ -367,14 +371,13 @@ def leaked_segments(names: list[str]) -> list[str]:
     return leaked
 
 
-def _plan_probes(n_ranks: int, elements: int) -> tuple[float, float]:
+def _plan_probes(n_ranks: int, elements: int, config) -> tuple[float, float]:
     request = CollectiveRequest(
         op="batched-reduce",
         n_ranks=n_ranks,
         payload=PayloadSpec("float32", elements),
         sessions=workloads.SERVICE_CLIENTS,
     )
-    config = workloads.SERVICE_CONFIG
     pipeline.plan(request, config)
     hit = _median_time(lambda: pipeline.plan(request, config), 201)
     miss = _median_time(lambda: pipeline.plan(request, config, cache=None), 21)
@@ -418,7 +421,7 @@ def service_probe(tracer: Tracer, vectors: list[np.ndarray]) -> tuple[dict, floa
     return service_numbers(tracer, records, since), hits / max(hits + misses, 1)
 
 
-def mp_probe(tracer: Tracer, pool: list[list[np.ndarray]]) -> list:
+def mp_probe(tracer: Tracer, pool: list[list[np.ndarray]], config) -> list:
     """The service's batched-reduce plan run on an MPCluster: a batch of
     SERVICE_CLIENTS sessions, a few times; returns OpRecords."""
     n = len(pool[0])
@@ -430,7 +433,7 @@ def mp_probe(tracer: Tracer, pool: list[list[np.ndarray]]) -> list:
             payload=PayloadSpec("float32", pool[0][0].size),
             sessions=sessions,
         ),
-        workloads.SERVICE_CONFIG,
+        config,
     )
     records = []
     with MPCluster(n, transport=workloads.MP_TRANSPORT) as cluster:
@@ -467,24 +470,25 @@ def layer_metrics(workload, tracer: Tracer, records, window: dict, args):
     metrics: dict[str, tuple[float, str]] = {}
 
     if workload.kind == "mp":
-        vectors = workload.inputs
-        eb = workload.eb or workloads.EB
+        vectors = workload.sets[0]
+        eb = workload.eb or inputs.error_bound(vectors)
+        config = CollectiveConfig(error_bound=eb)
         comp = FZLight(workload.spec.block_size, workload.spec.n_threadblocks)
         mp_records = ok
         starts = tracer.durations("runtime.cluster_start")
-        block = workload.blocks[0][0]
+        block = workload.blocks[0][0][0]
         message = comp.compress(block, abs_eb=eb) if workload.eb else block
         msg_bytes = block.nbytes
         svc, hit_rate = service_probe(tracer, vectors)
     else:
         vectors = workload.pool[0]
         eb = workload.eb
-        config = workloads.SERVICE_CONFIG
+        config = workload.config
         comp = FZLight(config.block_size, config.n_threadblocks)
         svc = service_numbers(tracer, records, loop_start)
         hit_rate = window["hits"] / max(window["hits"] + window["misses"], 1)
         since = time.perf_counter_ns()
-        mp_records = mp_probe(tracer, workload.pool)
+        mp_records = mp_probe(tracer, workload.pool, config)
         starts = tracer.durations("runtime.cluster_start", since)
         message = comp.compress(vectors[0], abs_eb=eb)
         msg_bytes = vectors[0].nbytes
@@ -495,7 +499,7 @@ def layer_metrics(workload, tracer: Tracer, records, window: dict, args):
     leaked = leaked_segments(segments)
     if leaked:
         raise RuntimeError(f"shared-memory segments left behind: {leaked}")
-    hit, miss = _plan_probes(len(vectors), vectors[0].size)
+    hit, miss = _plan_probes(len(vectors), vectors[0].size, config)
 
     makespan = [r.makespan_s for r in mp_records]
     compute = [r.compute_s for r in mp_records]

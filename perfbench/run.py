@@ -3,7 +3,7 @@
 Run from the repository root::
 
     python3 perfbench/run.py --workload mp-hz-allreduce-4mb --seed 1 \\
-        --seconds 25 --trace 0
+        --seconds 35 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics (no tracing); ``--trace 1``
 runs the same workload with span recorders around each layer's public
@@ -47,9 +47,38 @@ def peak_rss_mib(n_workers: int) -> float:
     return (own + n_workers * child) / 1024.0
 
 
+def stop_resource_tracker() -> None:
+    """Stop the multiprocessing resource tracker, if this run started one.
+
+    Creating a shared-memory segment (the traced run's raw ``ShmRing``
+    ceilings) starts it as a helper process that would otherwise outlive
+    the run; ``_stop`` closes its pipe and waits for it to exit."""
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_pid", None) is not None:
+        tracker._stop()
+
+
 def leftovers() -> list[str]:
-    """Child processes still alive after the run ended."""
-    return [p.name for p in multiprocessing.active_children()]
+    """Child processes of this one still alive after the run ended."""
+    pids = set()
+    try:
+        for tid in os.listdir("/proc/self/task"):
+            with open(f"/proc/self/task/{tid}/children") as fh:
+                pids.update(fh.read().split())
+    except OSError:  # no /proc: only what multiprocessing started
+        return [p.name for p in multiprocessing.active_children()]
+    left = []
+    for pid in sorted(pids):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                cmd = fh.read().replace(b"\0", b" ").decode(errors="replace")
+        except OSError:  # exited meanwhile
+            continue
+        if cmd.strip():  # a zombie has no command line and runs nothing
+            left.append(f"{pid}: {cmd.strip()}")
+    return left
 
 
 def end_to_end(per_round, setups, n_workers) -> dict:
@@ -103,6 +132,22 @@ def main(argv=None) -> int:
         tracer = Tracer()
         tracer.install()
     workload = WORKLOADS[args.workload](args.seed, args.smoke)
+    try:
+        result = measure(workload, tracer, args)
+    finally:
+        # every path out stops what the run started and waits for it
+        workload.shutdown()
+        stop_resource_tracker()
+    left = leftovers()
+    if left:
+        print(f"left behind: {left}", file=sys.stderr)
+        result["correct"] = False
+    print(json.dumps(result))
+    return 0
+
+
+def measure(workload, tracer, args) -> dict:
+    """Set up and time every round, check it, and return the result."""
     from repro.core.pipeline import PLAN_CACHE
 
     # Round 0 warms the process and is not timed: the first cluster a
@@ -132,7 +177,11 @@ def main(argv=None) -> int:
     records = [r for rnd in per_round for r in rnd]
     if all(r.failed for r in records):
         sys.exit(f"perfbench: all {len(records)} operations failed")
-    correct = True
+    # an op that completed with a wrong output makes the run incorrect; an
+    # op that raised or degraded is only counted in ``failed``
+    correct = not any(r.wrong for r in records)
+    for line in workload.wrong_ops[:5]:
+        print(f"wrong output: {line}", file=sys.stderr)
     if tracer is not None:
         from layers import layer_metrics
 
@@ -140,15 +189,12 @@ def main(argv=None) -> int:
             workload, tracer, records, window, args
         )
         print(f"chrome trace: {trace_path}")
+    # peak memory counts the rank workers once they are reaped
     workload.shutdown()
     if tracer is None:
         metrics = end_to_end(
             per_round, setups, workload.n_ranks if workload.kind == "mp" else 0
         )
-    left = leftovers()
-    if left:
-        print(f"left behind: {left}", file=sys.stderr)
-        correct = False
 
     failed = sum(r.failed for r in records)
     print(
@@ -157,20 +203,15 @@ def main(argv=None) -> int:
     )
     for name, (value, unit) in metrics.items():
         print(f"  {name:32s} {value:14.6g} {unit}")
-    print(
-        json.dumps(
-            {
-                "correct": correct,
-                "attempted": len(records),
-                "failed": failed,
-                "metrics": {
-                    name: {"value": value, "unit": unit}
-                    for name, (value, unit) in metrics.items()
-                },
-            }
-        )
-    )
-    return 0
+    return {
+        "correct": correct,
+        "attempted": len(records),
+        "failed": failed,
+        "metrics": {
+            name: {"value": value, "unit": unit}
+            for name, (value, unit) in metrics.items()
+        },
+    }
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Every workload runs once untraced and once traced in smoke mode (tiny
 sizes, one second), and must print a well-formed result naming exactly
-the metrics ``BENCHMARK.json`` declares, with no failed operation.
+the metrics ``BENCHMARK.json`` declares, with no failed operation.  A
+run in which an op returns a wrong output must report ``correct: false``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,39 @@ def test_smoke(workload, trace):
     }
     for m in result["metrics"].values():
         assert isinstance(m["value"], float) and m["value"] == m["value"]
+
+
+def test_wrong_output_makes_the_run_incorrect(monkeypatch, capsys):
+    import run
+
+    run._import_program()
+    import oracle
+    import workloads
+
+    # every other timed op reports a wrong output; warm-ups stay right
+    state = {"timed": False, "calls": 0}
+    real_check, real_run = oracle.check_allreduce, workloads.MPAllreduce.run
+
+    def check(*args):
+        state["calls"] += 1
+        if state["timed"] and state["calls"] % 2:
+            return "forced wrong output"
+        return real_check(*args)
+
+    def timed_run(self, seconds):
+        state["timed"] = True
+        try:
+            return real_run(self, seconds)
+        finally:
+            state["timed"] = False
+
+    monkeypatch.setattr(oracle, "check_allreduce", check)
+    monkeypatch.setattr(workloads.MPAllreduce, "run", timed_run)
+    run.main(["--workload", "mp-hz-allreduce-4mb", "--seed", "3",
+              "--seconds", "1", "--trace", "0", "--smoke"])
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["correct"] is False
+    assert 0 < result["failed"] < result["attempted"]
 
 
 def test_refuses_to_run_without_the_program(tmp_path):

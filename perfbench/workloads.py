@@ -1,4 +1,4 @@
-"""The four benchmark workloads.
+"""The benchmark workloads.
 
 Each workload object has the same life cycle, driven by ``run.py``:
 
@@ -7,8 +7,10 @@ Each workload object has the same life cycle, driven by ``run.py``:
   the wall time of ``setup()``.
 * ``run(seconds)`` runs whole operations until the time is up and
   returns one :class:`OpRecord` per attempted operation.  Every
-  operation's output goes through :mod:`oracle`; a failed check or an
-  exception marks the operation failed.  Nothing is retried.
+  operation's output goes through :mod:`oracle`.  An exception or a
+  degraded run marks the operation failed; a failed check marks it
+  failed and wrong, and a wrong output makes the whole run incorrect.
+  Nothing is retried.
 
 The ``mp-*`` workloads run one allreduce schedule on a real
 :class:`~repro.runtime.mp_cluster.MPCluster` with one process per rank.
@@ -36,19 +38,19 @@ from repro.runtime.nodemap import NodeMap
 from repro.schedule import CodecSpec, MPExecutor, hierarchical_allreduce_schedule
 from repro.service import AggregationService
 
-#: absolute error bound of every compressed workload (the paper's 1e-4)
-EB = 1e-4
 MP_RANKS = 2
 MP_TRANSPORT = "socket"
 #: untimed allreduces after a cluster start (worker imports, codec build)
 MP_WARMUP = 2
+#: an mp workload cycles through this many bytes of input sets per rank
+#: (one set at 4 MiB, 64 at 1 KiB), one set per op
+MP_POOL_BYTES = 64 << 10
 SERVICE_RANKS = 4
 SERVICE_CLIENTS = 8
 #: distinct sessions the clients cycle through
 SERVICE_POOL = 16
 #: sessions whose output is compared with a lone hzccl-direct reduce
 SERVICE_SPOT_CHECKS = 2
-SERVICE_CONFIG = CollectiveConfig(error_bound=EB)
 
 
 def _release_harness_memory() -> None:
@@ -70,11 +72,15 @@ class OpRecord:
     latency_s: float
     wire: float
     failed: bool
+    #: the op completed but its output failed the oracle (``failed`` too)
+    wrong: bool = False
     #: MPRun fields (mp workloads only)
     makespan_s: float = 0.0
     compute_s: float = 0.0
     #: SessionResult.batched (service only)
     batched: int = 0
+
+
 
 
 class MPAllreduce:
@@ -90,12 +96,7 @@ class MPAllreduce:
         self.nbytes = nbytes
         self.seed = seed
         self.n_ranks = MP_RANKS
-        self.eb = EB if codec == "hz" else None
-        self.spec = (
-            CodecSpec("homomorphic", error_bound=EB)
-            if codec == "hz"
-            else CodecSpec("plain")
-        )
+        self.pool_size = max(1, MP_POOL_BYTES // nbytes)
         # one rank per node: the hierarchical schedule degenerates to the
         # flat ring reduce-scatter + allgather over compressed blocks
         self.schedule = hierarchical_allreduce_schedule(
@@ -103,6 +104,7 @@ class MPAllreduce:
         )
         self.cluster: MPCluster | None = None
         self.restarts = 0
+        self.wrong_ops: list[str] = []
 
     # ------------------------------------------------------------------ #
     def setup(self) -> None:
@@ -110,33 +112,45 @@ class MPAllreduce:
         # memory does not depend on what the parent holds
         _release_harness_memory()
         self._start_cluster()
-        self.inputs = inputs.rank_inputs(self.seed, self.n_ranks, self.nbytes)
-        self.ref = oracle.reference(self.inputs)
-        self.blocks = [np.array_split(a, self.n_ranks) for a in self.inputs]
+        self.sets = inputs.input_sets(
+            self.seed, self.pool_size, self.n_ranks, self.nbytes
+        )
+        self.refs = [oracle.reference(s) for s in self.sets]
+        self.blocks = [
+            [np.array_split(a, self.n_ranks) for a in s] for s in self.sets
+        ]
+        self.eb = inputs.error_bound(self.sets[0]) if self.codec == "hz" else None
+        self.spec = (
+            CodecSpec("homomorphic", error_bound=self.eb)
+            if self.codec == "hz"
+            else CodecSpec("plain")
+        )
+        self.executor = MPExecutor(self.cluster, self.spec)
+        self.next_set = 0
         for _ in range(MP_WARMUP):
             rec = self.op()
             if rec.failed:
                 raise RuntimeError(f"warm-up allreduce failed: {self.last_error}")
+        self.next_set = 0
 
     def _start_cluster(self) -> None:
         self.cluster = MPCluster(self.n_ranks, transport=self.transport)
         self.cluster.start()
-        self.executor = MPExecutor(self.cluster, self.spec)
 
     def close(self) -> None:
         if self.cluster is not None:
             self.cluster.shutdown()
             self.cluster = None
-        self.inputs = self.ref = self.blocks = None
+        self.sets = self.refs = self.blocks = None
 
     shutdown = close
 
-    def make_state(self) -> list[dict]:
-        return [dict(enumerate(b)) for b in self.blocks]
-
     def op(self) -> OpRecord:
-        """One timed allreduce; a failed one replaces the cluster."""
-        state = self.make_state()
+        """One timed allreduce on the next input set; a failed one
+        replaces the cluster."""
+        k = self.next_set
+        self.next_set = (k + 1) % self.pool_size
+        state = [dict(enumerate(b)) for b in self.blocks[k]]
         t0 = time.perf_counter()
         try:
             run = self.executor.run(self.schedule, state)
@@ -146,22 +160,25 @@ class MPAllreduce:
             self._replace_cluster()
             return OpRecord(latency, 0.0, failed=True)
         latency = time.perf_counter() - t0
+        if run.degraded:  # an aborted run poisons the cluster
+            self.last_error = "degraded run"
+            self._replace_cluster()
+            return OpRecord(latency, float(run.wire), failed=True)
         outputs = [
             np.concatenate([s[b] for b in range(self.n_ranks)])
             for s in run.state
         ]
-        error = (
-            "degraded run" if run.degraded else None
-        ) or oracle.check_allreduce(
-            outputs, self.inputs, self.ref, run.wire, self.eb
+        error = oracle.check_allreduce(
+            outputs, self.sets[k], self.refs[k], run.wire, self.eb
         )
         self.last_error = error
-        if run.degraded:  # an aborted run poisons the cluster
-            self._replace_cluster()
+        if error is not None:
+            self.wrong_ops.append(f"input set {k}: {error}")
         return OpRecord(
             latency,
             float(run.wire),
             failed=error is not None,
+            wrong=error is not None,
             makespan_s=run.makespan_s,
             compute_s=run.compute_s,
         )
@@ -170,6 +187,7 @@ class MPAllreduce:
         """Restart after a failure, outside the op's timed region."""
         self.cluster.shutdown()
         self._start_cluster()
+        self.executor = MPExecutor(self.cluster, self.spec)
         self.restarts += 1
 
     def run(self, seconds: float) -> list[OpRecord]:
@@ -190,13 +208,13 @@ class ServiceReduce:
         self.seed = seed
         self.clients = clients
         self.n_ranks = SERVICE_RANKS
-        self.eb = EB
         self.loop = asyncio.new_event_loop()
         self.service: AggregationService | None = None
+        self.wrong_ops: list[str] = []
 
     def setup(self) -> None:
         self.start(
-            inputs.session_pool(self.seed, SERVICE_POOL, self.n_ranks, self.nbytes)
+            inputs.input_sets(self.seed, SERVICE_POOL, self.n_ranks, self.nbytes)
         )
 
     def start(self, pool: list[list[np.ndarray]]) -> None:
@@ -204,9 +222,11 @@ class ServiceReduce:
         warm it with one wave."""
         self.pool = pool
         self.n_ranks = len(pool[0])
+        self.eb = inputs.error_bound(pool[0])
+        self.config = CollectiveConfig(error_bound=self.eb)
         self.refs = [oracle.reference(s) for s in pool]
         self.first_output: dict[int, np.ndarray] = {}
-        self.service = AggregationService(SERVICE_CONFIG)
+        self.service = AggregationService(self.config)
         # plan cache, arenas and the executor's threads
         if any(rec.failed for rec in self.wave()):
             raise RuntimeError("warm-up session failed")
@@ -240,17 +260,20 @@ class ServiceReduce:
         except Exception:  # noqa: BLE001 - any refusal or error is a failure
             return OpRecord(time.perf_counter() - t0, 0.0, failed=True)
         latency = time.perf_counter() - t0
+        if res.degraded:
+            return OpRecord(latency, 0.0, failed=True)
         out = res.output
         first = self.first_output.setdefault(s, out)
-        error = (
-            "degraded batch" if res.degraded else None
-        ) or oracle.check_bound(out, self.refs[s], self.n_ranks, self.eb)
+        error = oracle.check_bound(out, self.refs[s], self.n_ranks, self.eb)
         if error is None and out.tobytes() != first.tobytes():
             error = "session output depends on its batch"
+        if error is not None:
+            self.wrong_ops.append(f"session {s}: {error}")
         return OpRecord(
             latency,
             res.bytes_on_wire / res.batched,
             failed=error is not None,
+            wrong=error is not None,
             batched=res.batched,
         )
 
@@ -271,25 +294,24 @@ class ServiceReduce:
         tagged = [item for done in per_client for item in done]
         # batching must not change a session's bytes: a spot-checked
         # session equals a lone fused direct reduce of the same inputs
-        lone = HZCCL(SERVICE_CONFIG)
+        lone = HZCCL(self.config)
         for s in range(min(SERVICE_SPOT_CHECKS, SERVICE_POOL)):
             alone = lone.reduce(self.pool[s], root=0, kernel="hzccl-direct")
             if alone.outputs[0].tobytes() != self.first_output[s].tobytes():
+                self.wrong_ops.append(
+                    f"session {s}: differs from a lone hzccl-direct reduce"
+                )
                 for tag, rec in tagged:
                     if tag == s:
-                        rec.failed = True
+                        rec.failed = rec.wrong = True
         return [rec for _, rec in tagged]
 
 
 WORKLOADS = {
     "mp-hz-allreduce-4mb": lambda seed, smoke: MPAllreduce(
-        "hz", (16 << 10) if smoke else (4 << 20), seed
-    ),
-    "mp-hz-allreduce-1kb": lambda seed, smoke: MPAllreduce("hz", 1 << 10, seed),
-    "mp-plain-allreduce-1kb": lambda seed, smoke: MPAllreduce(
-        "plain", 1 << 10, seed
+        "hz", (8 << 10) if smoke else (4 << 20), seed
     ),
     "service-reduce-64kb": lambda seed, smoke: ServiceReduce(
-        (4 << 10) if smoke else (64 << 10), seed, clients=4 if smoke else 8
+        (8 << 10) if smoke else (64 << 10), seed, clients=4 if smoke else 8
     ),
 }
